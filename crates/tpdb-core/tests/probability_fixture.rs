@@ -82,7 +82,9 @@ fn render() -> String {
 fn output_probabilities_are_bit_identical_to_the_fixture() {
     let rendered = render();
     assert!(
-        rendered.lines().any(|l| l.contains("expansions=") && !l.ends_with("expansions=0")),
+        rendered
+            .lines()
+            .any(|l| l.contains("expansions=") && !l.ends_with("expansions=0")),
         "the correlated union must exercise Shannon expansion"
     );
     for (i, (got, want)) in rendered.lines().zip(FIXTURE.lines()).enumerate() {

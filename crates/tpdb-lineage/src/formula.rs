@@ -173,6 +173,13 @@ impl Lineage {
         }
     }
 
+    /// Wraps a node that is already in the constructors' normal form
+    /// (the interner's conversion boundary, whose nodes are normalized by
+    /// construction), skipping the flattening and deduplication pass.
+    pub(crate) fn from_normalized(node: LineageNode) -> Self {
+        Lineage(Arc::new(node))
+    }
+
     /// Binary conjunction convenience wrapper.
     #[must_use]
     pub fn and2(a: Lineage, b: Lineage) -> Self {

@@ -15,6 +15,13 @@
 //! cons table is keyed by cached per-node structural hashes using a
 //! vendored FxHash-style hasher (the dependency-free mix used by rustc's
 //! `FxHashMap`), so interning a node costs one multiply-rotate per child.
+//! It maps each hash to the newest node carrying it; older nodes with the
+//! same hash hang off an intrusive `next` chain stored beside the arena,
+//! so a table entry owns no heap memory of its own.
+//!
+//! The constructors flatten and deduplicate their operands in a buffer the
+//! interner reuses, and look the candidate node up *before* boxing its
+//! children: re-interning an existing formula allocates nothing.
 //!
 //! The arena only ever grows: ids stay valid for the interner's lifetime,
 //! which is the lifetime of one join/set-operation execution (the
@@ -26,7 +33,7 @@
 
 use crate::formula::{Lineage, LineageNode};
 use crate::symbols::VarId;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The multiplier of the FxHash mix (the 64-bit golden-ratio constant used
@@ -129,25 +136,45 @@ pub enum InternedNode {
     Or(Box<[LineageRef]>),
 }
 
+/// Operand lists up to this length are deduplicated by a linear scan; a
+/// longer list builds a hash set once it passes the bound.
+const LINEAR_DEDUP_MAX: usize = 16;
+
 /// Order-preserving duplicate elimination over refs (the interned
-/// counterpart of the tree constructors' `Deduper` — membership is a
-/// cheap integer-hash lookup).
+/// counterpart of the tree constructors' `Deduper`). Operand lists are
+/// mostly short — a negating window disjoins its few concurrent `λs` — so
+/// membership is a scan of the list itself until it outgrows
+/// [`LINEAR_DEDUP_MAX`].
 struct RefDedup {
     ordered: Vec<LineageRef>,
-    seen: HashSet<LineageRef, BuildHasherDefault<FxHasher>>,
+    seen: Option<FxHashSet<LineageRef>>,
 }
 
 impl RefDedup {
-    fn with_capacity(capacity: usize) -> Self {
+    /// Starts deduplicating into `buffer` (cleared first, capacity kept).
+    fn new(mut buffer: Vec<LineageRef>) -> Self {
+        buffer.clear();
         Self {
-            ordered: Vec::with_capacity(capacity),
-            seen: HashSet::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
+            ordered: buffer,
+            seen: None,
         }
     }
 
     fn push(&mut self, r: LineageRef) {
-        if self.seen.insert(r) {
-            self.ordered.push(r);
+        match &mut self.seen {
+            Some(seen) => {
+                if seen.insert(r) {
+                    self.ordered.push(r);
+                }
+            }
+            None => {
+                if !self.ordered.contains(&r) {
+                    self.ordered.push(r);
+                    if self.ordered.len() > LINEAR_DEDUP_MAX {
+                        self.seen = Some(self.ordered.iter().copied().collect());
+                    }
+                }
+            }
         }
     }
 }
@@ -166,11 +193,22 @@ pub struct LineageInterner {
     /// Cached structural hash per node (mixes the tag with the *child
     /// hashes*, so it is stable across interners).
     hashes: Vec<u64>,
-    /// Cons table: structural hash → candidate node ids.
-    table: FxHashMap<u64, Vec<u32>>,
+    /// Cons table: structural hash → the newest node id with that hash.
+    heads: FxHashMap<u64, u32>,
+    /// Intrusive collision chains of the cons table: `next[id]` is the
+    /// next older node with the same structural hash ([`NIL`] ends the
+    /// chain).
+    next: Vec<u32>,
     /// Conversion cache: interned node → legacy tree (shared `Arc`s).
     legacy: Vec<Option<Lineage>>,
+    /// Reusable operand buffer of the n-ary constructors.
+    operands: Vec<LineageRef>,
+    /// Reusable child-ref stack of [`intern`](Self::intern).
+    interning: Vec<LineageRef>,
 }
+
+/// End of a cons-table collision chain.
+const NIL: u32 = u32::MAX;
 
 /// The pre-interned constant `true` (id 0 in every interner).
 const TRUE: LineageRef = LineageRef(0);
@@ -182,8 +220,11 @@ impl Default for LineageInterner {
         let mut interner = Self {
             nodes: Vec::new(),
             hashes: Vec::new(),
-            table: FxHashMap::default(),
+            heads: FxHashMap::default(),
+            next: Vec::new(),
             legacy: Vec::new(),
+            operands: Vec::new(),
+            interning: Vec::new(),
         };
         let t = interner.intern_node(InternedNode::True);
         let f = interner.intern_node(InternedNode::False);
@@ -265,36 +306,56 @@ impl LineageInterner {
     /// structural). `and(&[])` is `true`; a conjunction containing `false`
     /// collapses to `false`.
     pub fn and(&mut self, operands: &[LineageRef]) -> LineageRef {
-        let mut flat = RefDedup::with_capacity(operands.len());
-        for &op in operands {
-            match &self.nodes[op.index()] {
-                InternedNode::True => {}
-                InternedNode::False => return FALSE,
-                InternedNode::And(children) => {
-                    for &c in children.iter() {
-                        flat.push(c);
-                    }
-                }
-                _ => flat.push(op),
-            }
-        }
-        match flat.ordered.len() {
-            0 => TRUE,
-            1 => flat.ordered[0],
-            _ => self.intern_node(InternedNode::And(flat.ordered.into_boxed_slice())),
-        }
+        self.nary(true, operands)
     }
 
     /// N-ary disjunction with flattening, unit elimination and
     /// deduplication. `or(&[])` is `false`; a disjunction containing
     /// `true` collapses to `true`.
     pub fn or(&mut self, operands: &[LineageRef]) -> LineageRef {
-        let mut flat = RefDedup::with_capacity(operands.len());
+        self.nary(false, operands)
+    }
+
+    /// Builds a disjunction from operands that are already flattened (no
+    /// nested `Or`, no constants) and deduplicated, skipping the
+    /// flattening pass of [`or`](Self::or). This is the emission path of
+    /// [`InternedDisjunction`].
+    pub fn or_flattened(&mut self, operands: impl IntoIterator<Item = LineageRef>) -> LineageRef {
+        let mut flat = std::mem::take(&mut self.operands);
+        flat.clear();
+        flat.extend(operands);
+        debug_assert!(
+            flat.iter().all(|o| !matches!(
+                self.nodes[o.index()],
+                InternedNode::Or(_) | InternedNode::True | InternedNode::False
+            )),
+            "or_flattened operands must be flattened and constant-free"
+        );
+        let r = match flat.len() {
+            0 => FALSE,
+            1 => flat[0],
+            _ => self.intern_nary(false, &flat),
+        };
+        self.operands = flat;
+        r
+    }
+
+    /// The shared body of [`and`](Self::and) (`is_and`) and
+    /// [`or`](Self::or): flatten one level, drop the unit, absorb on the
+    /// absorbing constant, deduplicate in order.
+    fn nary(&mut self, is_and: bool, operands: &[LineageRef]) -> LineageRef {
+        let (unit, absorbing) = if is_and { (TRUE, FALSE) } else { (FALSE, TRUE) };
+        let mut flat = RefDedup::new(std::mem::take(&mut self.operands));
         for &op in operands {
-            match &self.nodes[op.index()] {
-                InternedNode::False => {}
-                InternedNode::True => return TRUE,
-                InternedNode::Or(children) => {
+            if op == unit {
+                continue;
+            }
+            if op == absorbing {
+                self.operands = flat.ordered;
+                return absorbing;
+            }
+            match (is_and, &self.nodes[op.index()]) {
+                (true, InternedNode::And(children)) | (false, InternedNode::Or(children)) => {
                     for &c in children.iter() {
                         flat.push(c);
                     }
@@ -302,30 +363,14 @@ impl LineageInterner {
                 _ => flat.push(op),
             }
         }
-        match flat.ordered.len() {
-            0 => FALSE,
-            1 => flat.ordered[0],
-            _ => self.intern_node(InternedNode::Or(flat.ordered.into_boxed_slice())),
-        }
-    }
-
-    /// Builds a disjunction from operands that are already flattened (no
-    /// nested `Or`, no constants) and deduplicated, skipping the
-    /// flattening pass of [`or`](Self::or). This is the emission path of
-    /// [`InternedDisjunction`].
-    pub fn or_flattened(&mut self, operands: Vec<LineageRef>) -> LineageRef {
-        debug_assert!(
-            operands.iter().all(|o| !matches!(
-                self.nodes[o.index()],
-                InternedNode::Or(_) | InternedNode::True | InternedNode::False
-            )),
-            "or_flattened operands must be flattened and constant-free"
-        );
-        match operands.len() {
-            0 => FALSE,
-            1 => operands[0],
-            _ => self.intern_node(InternedNode::Or(operands.into_boxed_slice())),
-        }
+        let flat = flat.ordered;
+        let r = match flat.len() {
+            0 => unit,
+            1 => flat[0],
+            _ => self.intern_nary(is_and, &flat),
+        };
+        self.operands = flat;
+        r
     }
 
     /// Binary conjunction convenience wrapper.
@@ -351,21 +396,33 @@ impl LineageInterner {
     /// constructors (idempotent on already-normalized trees — which every
     /// [`Lineage`] built through its own constructors is).
     pub fn intern(&mut self, lineage: &Lineage) -> LineageRef {
+        let mut stack = std::mem::take(&mut self.interning);
+        let r = self.intern_rec(lineage, &mut stack);
+        self.interning = stack;
+        r
+    }
+
+    /// [`intern`](Self::intern) with the children's refs collected on one
+    /// shared `stack` instead of a vector per node.
+    fn intern_rec(&mut self, lineage: &Lineage, stack: &mut Vec<LineageRef>) -> LineageRef {
         match lineage.node() {
             LineageNode::True => TRUE,
             LineageNode::False => FALSE,
             LineageNode::Var(v) => self.var(*v),
             LineageNode::Not(c) => {
-                let inner = self.intern(c);
+                let inner = self.intern_rec(c, stack);
                 self.not(inner)
             }
-            LineageNode::And(cs) => {
-                let refs: Vec<LineageRef> = cs.iter().map(|c| self.intern(c)).collect();
-                self.and(&refs)
-            }
-            LineageNode::Or(cs) => {
-                let refs: Vec<LineageRef> = cs.iter().map(|c| self.intern(c)).collect();
-                self.or(&refs)
+            LineageNode::And(cs) | LineageNode::Or(cs) => {
+                let start = stack.len();
+                for c in cs {
+                    let r = self.intern_rec(c, stack);
+                    stack.push(r);
+                }
+                let is_and = matches!(lineage.node(), LineageNode::And(_));
+                let r = self.nary(is_and, &stack[start..]);
+                stack.truncate(start);
+                r
             }
         }
     }
@@ -375,49 +432,15 @@ impl LineageInterner {
     /// Conversions are cached per node, so the trees of shared
     /// sub-formulas (every `λr` of a window group, every disjunction
     /// operand) are shared `Arc`s — converting `n` output tuples allocates
-    /// `O(distinct nodes)`, not `O(total tree size)`.
+    /// `O(distinct nodes)`, not `O(total tree size)`. An interned node is
+    /// already in the tree constructors' normal form, so the converted
+    /// children are wrapped as they are, without re-running the
+    /// flattening and deduplication of [`Lineage::and`]/[`Lineage::or`].
     pub fn to_lineage(&mut self, r: LineageRef) -> Lineage {
-        if let Some(l) = &self.legacy[r.index()] {
-            return l.clone();
-        }
-        let node = self.nodes[r.index()].clone();
-        let lineage = match node {
-            InternedNode::True => Lineage::tru(),
-            InternedNode::False => Lineage::fls(),
-            InternedNode::Var(v) => Lineage::var(v),
-            InternedNode::Not(c) => Lineage::not(self.to_lineage(c)),
-            InternedNode::And(cs) => Lineage::and(cs.iter().map(|&c| self.to_lineage(c)).collect()),
-            InternedNode::Or(cs) => Lineage::or(cs.iter().map(|&c| self.to_lineage(c)).collect()),
-        };
-        self.legacy[r.index()] = Some(lineage.clone());
-        lineage
+        convert(&self.nodes, &mut self.legacy, r)
     }
 
     // ----- inspection -----------------------------------------------------
-
-    /// The set of variables mentioned anywhere in the formula (ascending,
-    /// matching [`Lineage::vars`]). The walk visits each distinct node
-    /// once.
-    #[must_use]
-    pub fn vars(&self, r: LineageRef) -> BTreeSet<VarId> {
-        let mut out = BTreeSet::new();
-        let mut visited: HashSet<LineageRef, BuildHasherDefault<FxHasher>> = HashSet::default();
-        let mut stack = vec![r];
-        while let Some(cur) = stack.pop() {
-            if !visited.insert(cur) {
-                continue;
-            }
-            match &self.nodes[cur.index()] {
-                InternedNode::True | InternedNode::False => {}
-                InternedNode::Var(v) => {
-                    out.insert(*v);
-                }
-                InternedNode::Not(c) => stack.push(*c),
-                InternedNode::And(cs) | InternedNode::Or(cs) => stack.extend(cs.iter().copied()),
-            }
-        }
-        out
-    }
 
     /// Conditions the formula on `var = value` (Shannon cofactor),
     /// mirroring [`Lineage::condition`] in interned space.
@@ -480,11 +503,13 @@ impl LineageInterner {
     // free-form description of the first broken invariant, for assertion
     // messages. tpdb-lint: allow(error-taxonomy)
     pub fn verify_arena(&self) -> Result<(), String> {
-        if self.hashes.len() != self.nodes.len() || self.legacy.len() != self.nodes.len() {
+        let n = self.nodes.len();
+        if self.hashes.len() != n || self.next.len() != n || self.legacy.len() != n {
             return Err(format!(
-                "parallel tables out of sync: {} nodes, {} hashes, {} cached conversions",
-                self.nodes.len(),
+                "parallel tables out of sync: {n} nodes, {} hashes, {} chain links, \
+                 {} cached conversions",
                 self.hashes.len(),
+                self.next.len(),
                 self.legacy.len()
             ));
         }
@@ -504,16 +529,6 @@ impl LineageInterner {
                     self.hashes[i]
                 ));
             }
-            let listed = self
-                .table
-                .get(&expected)
-                .is_some_and(|bucket| bucket.contains(&(i as u32)));
-            if !listed {
-                return Err(format!(
-                    "node {i} is missing from its cons-table bucket — interning its structure \
-                     again would allocate a duplicate id"
-                ));
-            }
             if let Some(cached) = &self.legacy[i] {
                 let shape_matches = matches!(
                     (node, cached.node()),
@@ -531,7 +546,53 @@ impl LineageInterner {
                 }
             }
         }
-        Ok(())
+        self.verify_chains()
+    }
+
+    /// Walks every cons-table chain: each node must be reachable from the
+    /// head of its own structural hash exactly once, and no chain may
+    /// cycle. A node reachable from no head would be duplicated by the
+    /// next interning of its structure.
+    // Part of the diagnostic self-check above. tpdb-lint: allow(error-taxonomy)
+    fn verify_chains(&self) -> Result<(), String> {
+        let n = self.nodes.len();
+        // The chain (1-based position in the walk) each node was reached in.
+        let mut reached_in = vec![0usize; n];
+        for (chain, (&hash, &head)) in self.heads.iter().enumerate() {
+            let chain = chain + 1;
+            let mut id = head;
+            while id != NIL {
+                let i = id as usize;
+                if i >= n {
+                    return Err(format!(
+                        "cons-table chain of hash {hash:#x} links to {i} outside the arena"
+                    ));
+                }
+                if self.hashes[i] != hash {
+                    return Err(format!(
+                        "node {i} (hash {:#x}) is chained under hash {hash:#x}",
+                        self.hashes[i]
+                    ));
+                }
+                match reached_in[i] {
+                    0 => reached_in[i] = chain,
+                    seen if seen == chain => {
+                        return Err(format!(
+                            "cons-table chain of hash {hash:#x} cycles at node {i}"
+                        ));
+                    }
+                    _ => return Err(format!("node {i} is reachable from two cons-table heads")),
+                }
+                id = self.next[i];
+            }
+        }
+        match reached_in.iter().position(|&c| c == 0) {
+            Some(i) => Err(format!(
+                "node {i} is unreachable from its cons-table head — interning its structure \
+                 again would allocate a duplicate id"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Structural invariants of a single node at position `i` (children
@@ -592,16 +653,64 @@ impl LineageInterner {
             InternedNode::False => fx_mix(0, 2),
             InternedNode::Var(v) => fx_mix(fx_mix(0, 3), u64::from(v.0)),
             InternedNode::Not(c) => fx_mix(fx_mix(0, 4), self.hashes[c.index()]),
-            InternedNode::And(cs) => cs
-                .iter()
-                .fold(fx_mix(0, 5), |h, c| fx_mix(h, self.hashes[c.index()])),
-            InternedNode::Or(cs) => cs
-                .iter()
-                .fold(fx_mix(0, 6), |h, c| fx_mix(h, self.hashes[c.index()])),
+            InternedNode::And(cs) => self.nary_hash(true, cs),
+            InternedNode::Or(cs) => self.nary_hash(false, cs),
         }
     }
 
+    fn nary_hash(&self, is_and: bool, children: &[LineageRef]) -> u64 {
+        let tag = if is_and { 5 } else { 6 };
+        children
+            .iter()
+            .fold(fx_mix(0, tag), |h, c| fx_mix(h, self.hashes[c.index()]))
+    }
+
+    /// The node with structural hash `hash` that satisfies `is_match`, if
+    /// one is interned.
+    fn find(&self, hash: u64, is_match: impl Fn(&InternedNode) -> bool) -> Option<LineageRef> {
+        let mut id = *self.heads.get(&hash)?;
+        while id != NIL {
+            if is_match(&self.nodes[id as usize]) {
+                return Some(LineageRef(id));
+            }
+            id = self.next[id as usize];
+        }
+        None
+    }
+
     fn intern_node(&mut self, node: InternedNode) -> LineageRef {
+        let hash = self.structural_hash(&node);
+        match self.find(hash, |n| *n == node) {
+            Some(r) => r,
+            None => self.push(node, hash),
+        }
+    }
+
+    /// Interns the conjunction (`is_and`) or disjunction of already
+    /// normalized `children`, boxing them only when the node is new.
+    fn intern_nary(&mut self, is_and: bool, children: &[LineageRef]) -> LineageRef {
+        let hash = self.nary_hash(is_and, children);
+        let found = self.find(hash, |n| match (is_and, n) {
+            (true, InternedNode::And(cs)) | (false, InternedNode::Or(cs)) => **cs == *children,
+            _ => false,
+        });
+        match found {
+            Some(r) => r,
+            None => {
+                let children = children.into();
+                let node = if is_and {
+                    InternedNode::And(children)
+                } else {
+                    InternedNode::Or(children)
+                };
+                self.push(node, hash)
+            }
+        }
+    }
+
+    /// Appends a node that is not yet interned and links it at the head of
+    /// its hash chain.
+    fn push(&mut self, node: InternedNode, hash: u64) -> LineageRef {
         // In debug builds every freshly interned node is checked against
         // the canonical-form invariants (`verify_arena` documents them);
         // checking only the new node keeps interning O(node size).
@@ -611,21 +720,40 @@ impl LineageInterner {
                 debug_assert!(false, "interning a malformed node: {problem}");
             }
         }
-        let hash = self.structural_hash(&node);
-        if let Some(bucket) = self.table.get(&hash) {
-            for &id in bucket {
-                if self.nodes[id as usize] == node {
-                    return LineageRef(id);
-                }
-            }
-        }
-        let id = u32::try_from(self.nodes.len()).expect("interner arena exceeds u32 ids");
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != NIL)
+            .expect("interner arena exceeds u32 ids");
         self.nodes.push(node);
         self.hashes.push(hash);
         self.legacy.push(None);
-        self.table.entry(hash).or_default().push(id);
+        self.next.push(self.heads.insert(hash, id).unwrap_or(NIL));
         LineageRef(id)
     }
+}
+
+/// The body of [`LineageInterner::to_lineage`], over the two tables it
+/// touches so the recursion can read nodes while filling the cache.
+fn convert(nodes: &[InternedNode], legacy: &mut [Option<Lineage>], r: LineageRef) -> Lineage {
+    if let Some(l) = &legacy[r.index()] {
+        return l.clone();
+    }
+    let lineage = match &nodes[r.index()] {
+        InternedNode::True => Lineage::tru(),
+        InternedNode::False => Lineage::fls(),
+        InternedNode::Var(v) => Lineage::var(*v),
+        InternedNode::Not(c) => {
+            Lineage::from_normalized(LineageNode::Not(convert(nodes, legacy, *c)))
+        }
+        InternedNode::And(cs) => Lineage::from_normalized(LineageNode::And(
+            cs.iter().map(|&c| convert(nodes, legacy, c)).collect(),
+        )),
+        InternedNode::Or(cs) => Lineage::from_normalized(LineageNode::Or(
+            cs.iter().map(|&c| convert(nodes, legacy, c)).collect(),
+        )),
+    };
+    legacy[r.index()] = Some(lineage.clone());
+    lineage
 }
 
 /// The id-keyed counterpart of [`crate::IncrementalDisjunction`]: a
@@ -744,17 +872,114 @@ impl InternedDisjunction {
         if self.true_count > 0 {
             return interner.tru();
         }
-        let operands: Vec<LineageRef> = self.slots.iter().flatten().map(|&(l, _)| l).collect();
-        interner.or_flattened(operands)
+        interner.or_flattened(self.slots.iter().flatten().map(|&(l, _)| l))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(i: u32) -> Lineage {
         Lineage::var(VarId(i))
+    }
+
+    /// Random trees built through the tree constructors (hence normalized),
+    /// with constants among the leaves and operand lists wide enough to
+    /// pass [`LINEAR_DEDUP_MAX`] after flattening.
+    fn arb_lineage() -> impl Strategy<Value = Lineage> {
+        let leaf = prop_oneof![
+            (0u32..12).prop_map(v),
+            Just(Lineage::tru()),
+            Just(Lineage::fls()),
+        ];
+        leaf.prop_recursive(3, 48, 6, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(Lineage::not),
+                proptest::collection::vec(inner.clone(), 0..6).prop_map(Lineage::and),
+                proptest::collection::vec(inner.clone(), 0..6).prop_map(Lineage::or),
+                proptest::collection::vec(inner, 12..30).prop_map(Lineage::or),
+            ]
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_round_trip_is_identity(l in arb_lineage()) {
+            let mut i = LineageInterner::new();
+            let r = i.intern(&l);
+            prop_assert_eq!(i.to_lineage(r), l.clone());
+            // Interning again finds every node: same id, no new node.
+            let len = i.len();
+            prop_assert_eq!(i.intern(&l), r);
+            prop_assert_eq!(i.len(), len);
+            prop_assert_eq!(i.verify_arena(), Ok(()));
+        }
+
+        #[test]
+        fn prop_constructors_match_tree_constructors(ls in proptest::collection::vec(arb_lineage(), 0..40)) {
+            let mut i = LineageInterner::new();
+            let refs: Vec<LineageRef> = ls.iter().map(|l| i.intern(l)).collect();
+            let and = i.and(&refs);
+            let or = i.or(&refs);
+            prop_assert_eq!(i.to_lineage(and), Lineage::and(ls.clone()));
+            prop_assert_eq!(i.to_lineage(or), Lineage::or(ls));
+            prop_assert_eq!(i.verify_arena(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn verify_arena_reports_broken_cons_chains() {
+        let mut i = LineageInterner::new();
+        let f = Lineage::and2(v(0), Lineage::not(Lineage::or2(v(1), v(2))));
+        let _ = i.intern(&f);
+        assert_eq!(i.verify_arena(), Ok(()));
+        let last = i.len() - 1;
+
+        // A self-loop: the chain of the newest node cycles.
+        let mut cyclic = i.clone();
+        cyclic.next[last] = last as u32;
+        let err = cyclic.verify_arena().unwrap_err();
+        assert!(err.contains("cycles"), "{err}");
+
+        // A link into another hash's chain: the target is reached twice.
+        let mut crossed = i.clone();
+        crossed.next[last] = 2;
+        let err = crossed.verify_arena().unwrap_err();
+        assert!(err.contains("chained under hash"), "{err}");
+
+        // A link past the arena.
+        let mut dangling = i.clone();
+        dangling.next[last] = last as u32 + 7;
+        let err = dangling.verify_arena().unwrap_err();
+        assert!(err.contains("outside the arena"), "{err}");
+
+        // A dropped head: its node can no longer be found.
+        let mut orphaned = i.clone();
+        orphaned.heads.remove(&orphaned.hashes[last]);
+        let err = orphaned.verify_arena().unwrap_err();
+        assert!(err.contains("unreachable"), "{err}");
+    }
+
+    #[test]
+    fn colliding_hashes_chain_and_stay_distinct() {
+        // Force a collision: re-key a second node under the first one's
+        // hash, the way two structures with equal hashes would be chained.
+        let mut i = LineageInterner::new();
+        let a = i.var(VarId(1));
+        let b = i.var(VarId(2));
+        let hash = i.hashes[a.index()];
+        i.heads.remove(&i.hashes[b.index()]);
+        i.hashes[b.index()] = hash;
+        i.next[b.index()] = a.0;
+        i.heads.insert(hash, b.0);
+        assert_eq!(
+            i.verify_arena().map_err(|e| e.contains("recomputed")),
+            Err(true)
+        );
+        assert_eq!(i.find(hash, |n| *n == InternedNode::Var(VarId(1))), Some(a));
+        assert_eq!(i.find(hash, |n| *n == InternedNode::Var(VarId(2))), Some(b));
     }
 
     #[test]
@@ -839,14 +1064,6 @@ mod tests {
         let tg = i.to_lineage(rg);
         assert_eq!(tf, f);
         assert_eq!(tg, g);
-    }
-
-    #[test]
-    fn vars_match_legacy_vars() {
-        let mut i = LineageInterner::new();
-        let f = Lineage::and2(v(9), Lineage::not(Lineage::or2(v(2), v(5))));
-        let r = i.intern(&f);
-        assert_eq!(i.vars(r), f.vars());
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Exact probability computation for lineage formulas.
 
 use crate::formula::Lineage;
-use crate::intern::{FxHashSet, InternedNode, LineageInterner, LineageRef};
+use crate::intern::{FxHashMap, InternedNode, LineageInterner, LineageRef};
 use crate::symbols::VarId;
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
+
+/// The marginal probability of every registered base-tuple variable.
+///
+/// A hash map, not a vector indexed by [`VarId`]: variable ids are not
+/// dense (generated relations number their variables from 10⁸ up).
+pub type Marginals = FxHashMap<VarId, f64>;
 
 /// Errors produced by the probability engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +46,11 @@ impl std::error::Error for ProbabilityError {}
 /// 2. *independent decomposition*: the children of an `And`/`Or` are grouped
 ///    into connected components over shared variables; distinct components
 ///    are mutually independent, so their probabilities combine by
-///    multiplication (`And`) or inclusion-exclusion on the complement (`Or`),
+///    multiplication (`And`) or inclusion-exclusion on the complement (`Or`).
+///    Hash-consing gives every variable exactly one arena node, so two
+///    children share a variable exactly when their sub-DAG walks meet at a
+///    common node; the walks stamp node ids in scratch vectors the engine
+///    reuses, and allocate nothing,
 /// 3. a *Shannon expansion* fallback for components whose children share
 ///    variables, expanding on the most frequent variable and memoizing
 ///    intermediate results.
@@ -61,7 +70,8 @@ impl std::error::Error for ProbabilityError {}
 /// behind an [`Arc`] with copy-on-write semantics, so cloning an engine —
 /// as the query layer does once per execution, and the parallel join does
 /// once per worker — is cheap and shares the registered probabilities
-/// until one side writes.
+/// until one side writes. A catalog that keeps its [`Marginals`] in an
+/// `Arc` hands them over the same way ([`with_marginals`](Self::with_marginals)).
 ///
 /// Callers on the hot path intern once ([`intern`](Self::intern) or the
 /// interned stream constructors) and evaluate with
@@ -69,7 +79,7 @@ impl std::error::Error for ProbabilityError {}
 /// accepts legacy trees and interns on the fly.
 #[derive(Debug, Clone, Default)]
 pub struct ProbabilityEngine {
-    probs: Arc<HashMap<VarId, f64>>,
+    probs: Arc<Marginals>,
     interner: LineageInterner,
     /// Dense memo indexed by node id; `NaN` marks an absent entry. Cleared
     /// when a registered probability changes.
@@ -84,6 +94,113 @@ pub struct ProbabilityEngine {
     /// compound formula goes through Shannon expansion. Only used by the
     /// ablation experiment; keeps results identical, only slower.
     force_shannon: bool,
+    /// Reusable buffers of the sub-DAG walks.
+    scratch: Scratch,
+}
+
+/// Epoch-stamped per-node scratch of the sub-DAG walks (component
+/// grouping, variable checks, branching-variable counts).
+///
+/// A walk begins a new epoch; `stamp[id] == epoch` means node `id` was
+/// reached in the current walk and `mark[id]` holds what the walk recorded
+/// for it. Starting a walk is O(1) — nothing is cleared — and the vectors
+/// only grow with the arena, so a walk allocates nothing once they have.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    epoch: u32,
+    stamp: Vec<u32>,
+    mark: Vec<u32>,
+    stack: Vec<LineageRef>,
+    /// Nodes collected by a walk (checked nodes, counted variables).
+    list: Vec<LineageRef>,
+    /// Union-find parents over the children of one `And`/`Or`.
+    parent: Vec<u32>,
+}
+
+impl Scratch {
+    /// Starts a walk over an arena of `arena_len` nodes.
+    fn begin(&mut self, arena_len: usize) {
+        if self.stamp.len() < arena_len {
+            self.stamp.resize(arena_len, 0);
+            self.mark.resize(arena_len, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.stack.clear();
+        self.list.clear();
+    }
+
+    /// Reaches node `i` with `value`: the value it was first reached with
+    /// in this walk, or `None` (recording `value`) on the first visit.
+    fn reach(&mut self, i: usize, value: u32) -> Option<u32> {
+        if self.stamp[i] == self.epoch {
+            Some(self.mark[i])
+        } else {
+            self.stamp[i] = self.epoch;
+            self.mark[i] = value;
+            None
+        }
+    }
+
+    fn find(&mut self, i: u32) -> u32 {
+        let mut root = i;
+        while self.parent[root as usize] != root {
+            root = self.parent[root as usize];
+        }
+        let mut cur = i;
+        while cur != root {
+            let up = self.parent[cur as usize];
+            self.parent[cur as usize] = root;
+            cur = up;
+        }
+        root
+    }
+
+    /// Groups `children` into connected components over shared variables,
+    /// leaving the union-find forest in `parent`. Returns `true` when every
+    /// child is its own component.
+    ///
+    /// Child `i` walks its sub-DAG marking nodes with `i`; reaching a node
+    /// another child marked means the two share that node, hence a
+    /// variable below it (every node under an `And`/`Or` mentions one),
+    /// and the walk does not descend further — the owner already covered
+    /// that sub-DAG.
+    fn group(&mut self, interner: &LineageInterner, children: &[LineageRef]) -> bool {
+        self.begin(interner.len());
+        self.parent.clear();
+        self.parent.extend(0..children.len() as u32);
+        let mut independent = true;
+        for (i, &child) in children.iter().enumerate() {
+            let i = i as u32;
+            self.stack.push(child);
+            while let Some(cur) = self.stack.pop() {
+                match self.reach(cur.index(), i) {
+                    None => push_children(interner, cur, &mut self.stack),
+                    Some(owner) if owner == i => {}
+                    Some(owner) => {
+                        let (a, b) = (self.find(i), self.find(owner));
+                        if a != b {
+                            self.parent[a as usize] = b;
+                        }
+                        independent = false;
+                    }
+                }
+            }
+        }
+        independent
+    }
+}
+
+/// Pushes the children of `r` (none for constants and variables).
+fn push_children(interner: &LineageInterner, r: LineageRef, stack: &mut Vec<LineageRef>) {
+    match interner.node(r) {
+        InternedNode::True | InternedNode::False | InternedNode::Var(_) => {}
+        InternedNode::Not(c) => stack.push(*c),
+        InternedNode::And(cs) | InternedNode::Or(cs) => stack.extend(cs.iter().copied()),
+    }
 }
 
 impl ProbabilityEngine {
@@ -91,6 +208,16 @@ impl ProbabilityEngine {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an engine over shared marginals: the map is not copied
+    /// until the engine registers a changed probability.
+    #[must_use]
+    pub fn with_marginals(probs: Arc<Marginals>) -> Self {
+        Self {
+            probs,
+            ..Self::default()
+        }
     }
 
     /// Registers (or overwrites) the marginal probability of a variable.
@@ -259,35 +386,28 @@ impl ProbabilityEngine {
         if self.verified[root.index()] {
             return Ok(());
         }
-        let mut stack = vec![root];
-        let mut walked: Vec<usize> = Vec::new();
-        let mut in_walk: FxHashSet<usize> = FxHashSet::default();
+        let scratch = &mut self.scratch;
+        scratch.begin(self.interner.len());
+        scratch.stack.push(root);
         let mut missing: Option<VarId> = None;
-        while let Some(cur) = stack.pop() {
+        while let Some(cur) = scratch.stack.pop() {
             let i = cur.index();
-            if self.verified[i] || !in_walk.insert(i) {
+            if self.verified[i] || scratch.reach(i, 0).is_some() {
                 continue;
             }
-            walked.push(i);
-            match self.interner.node(cur) {
-                InternedNode::True | InternedNode::False => {}
-                InternedNode::Var(v) => {
-                    if !self.probs.contains_key(v) {
-                        missing = Some(match missing {
-                            Some(m) if m < *v => m,
-                            _ => *v,
-                        });
-                    }
+            scratch.list.push(cur);
+            if let InternedNode::Var(v) = self.interner.node(cur) {
+                if !self.probs.contains_key(v) {
+                    missing = Some(missing.map_or(*v, |m| m.min(*v)));
                 }
-                InternedNode::Not(c) => stack.push(*c),
-                InternedNode::And(cs) | InternedNode::Or(cs) => stack.extend(cs.iter().copied()),
             }
+            push_children(&self.interner, cur, &mut scratch.stack);
         }
         if let Some(v) = missing {
             return Err(ProbabilityError::MissingVariable(v));
         }
-        for i in walked {
-            self.verified[i] = true;
+        for r in &scratch.list {
+            self.verified[r.index()] = true;
         }
         Ok(())
     }
@@ -349,7 +469,7 @@ impl ProbabilityEngine {
     }
 
     fn prob_rec(&mut self, r: LineageRef) -> f64 {
-        match self.interner.node(r) {
+        let is_and = match self.interner.node(r) {
             InternedNode::True => return 1.0,
             InternedNode::False => return 0.0,
             InternedNode::Var(v) => return self.probs[v],
@@ -357,54 +477,62 @@ impl ProbabilityEngine {
                 let c = *c;
                 return 1.0 - self.prob_rec(c);
             }
-            _ => {}
-        }
+            InternedNode::And(_) => true,
+            InternedNode::Or(_) => false,
+        };
         if let Some(p) = self.memo_get(r) {
             return p;
         }
         let p = if self.force_shannon {
             self.shannon(r)
         } else {
-            match self.interner.node(r) {
-                InternedNode::And(cs) => {
-                    let children: Vec<LineageRef> = cs.to_vec();
-                    self.prob_nary(&children, true)
-                }
-                InternedNode::Or(cs) => {
-                    let children: Vec<LineageRef> = cs.to_vec();
-                    self.prob_nary(&children, false)
-                }
-                _ => unreachable!("handled above"),
-            }
+            self.prob_nary(r, is_and)
         };
         self.memo_insert(r, p);
         p
     }
 
-    /// Probability of an n-ary conjunction (`is_and`) or disjunction.
-    fn prob_nary(&mut self, children: &[LineageRef], is_and: bool) -> f64 {
+    /// Probability of the n-ary conjunction (`is_and`) or disjunction `r`.
+    fn prob_nary(&mut self, r: LineageRef, is_and: bool) -> f64 {
+        let children = children_of(&self.interner, r);
+        let n = children.len();
         // Group children into connected components over shared variables.
-        let groups = connected_components(&self.interner, children);
+        if self.scratch.group(&self.interner, children) {
+            // Every child is its own component: combine them in order.
+            let mut acc = 1.0;
+            for k in 0..n {
+                let p = self.prob_rec(children_of(&self.interner, r)[k]);
+                acc *= if is_and { p } else { 1.0 - p };
+            }
+            return if is_and { acc } else { 1.0 - acc };
+        }
+        // Some children share variables: one group per component, ordered
+        // by its first child, members in child order.
+        let mut groups: Vec<Vec<LineageRef>> = Vec::new();
+        let mut group_of_root = vec![usize::MAX; n];
+        for (i, &child) in children.iter().enumerate() {
+            let root = self.scratch.find(i as u32) as usize;
+            if group_of_root[root] == usize::MAX {
+                group_of_root[root] = groups.len();
+                groups.push(Vec::new());
+            }
+            groups[group_of_root[root]].push(child);
+        }
         let mut acc = 1.0;
         for group in groups {
-            let p_group = if group.len() == 1 {
-                self.prob_rec(children[group[0]])
+            let p = if let [single] = group[..] {
+                self.prob_rec(single)
             } else {
                 // children in this group share variables: expand the joint
                 // sub-formula with Shannon.
-                let subs: Vec<LineageRef> = group.iter().map(|&i| children[i]).collect();
                 let joint = if is_and {
-                    self.interner.and(&subs)
+                    self.interner.and(&group)
                 } else {
-                    self.interner.or(&subs)
+                    self.interner.or(&group)
                 };
                 self.shannon(joint)
             };
-            if is_and {
-                acc *= p_group;
-            } else {
-                acc *= 1.0 - p_group;
-            }
+            acc *= if is_and { p } else { 1.0 - p };
         }
         if is_and {
             acc
@@ -428,8 +556,9 @@ impl ProbabilityEngine {
         if let Some(p) = self.memo_get(r) {
             return p;
         }
-        let var =
-            most_frequent_var(&self.interner, r).expect("compound formula must mention a variable");
+        let var = self
+            .most_frequent_var(r)
+            .expect("compound formula must mention a variable");
         self.expansions += 1;
         let p_var = self.probs[&var];
         let pos = self.interner.condition(r, var, true);
@@ -484,79 +613,48 @@ impl ProbabilityEngine {
         Ok(total)
     }
 
+    /// The variable occurring in the largest number of sub-formulas (a
+    /// standard branching heuristic for Shannon expansion), ties going to
+    /// the smallest id. Occurrences are counted with multiplicity — each
+    /// appearance in the formula tree counts, not each distinct node.
+    fn most_frequent_var(&mut self, r: LineageRef) -> Option<VarId> {
+        let scratch = &mut self.scratch;
+        scratch.begin(self.interner.len());
+        scratch.stack.push(r);
+        while let Some(cur) = scratch.stack.pop() {
+            let i = cur.index();
+            if let InternedNode::Var(_) = self.interner.node(cur) {
+                match scratch.reach(i, 1) {
+                    Some(count) => scratch.mark[i] = count + 1,
+                    None => scratch.list.push(cur),
+                }
+            }
+            push_children(&self.interner, cur, &mut scratch.stack);
+        }
+        let interner = &self.interner;
+        scratch
+            .list
+            .iter()
+            .filter_map(|&r| match interner.node(r) {
+                InternedNode::Var(v) => Some((*v, scratch.mark[r.index()])),
+                _ => None,
+            })
+            .max_by_key(|&(v, c)| (c, std::cmp::Reverse(v)))
+            .map(|(v, _)| v)
+    }
+
     #[cfg(test)]
     fn memo_entries(&self) -> usize {
         self.memo.iter().filter(|p| !p.is_nan()).count()
     }
 }
 
-/// Groups formula indices into connected components over shared variables.
-fn connected_components(interner: &LineageInterner, children: &[LineageRef]) -> Vec<Vec<usize>> {
-    let var_sets: Vec<BTreeSet<VarId>> = children.iter().map(|&c| interner.vars(c)).collect();
-    let n = children.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
+/// The children of the `And`/`Or` node `r`.
+fn children_of(interner: &LineageInterner, r: LineageRef) -> &[LineageRef] {
+    match interner.node(r) {
+        InternedNode::And(cs) | InternedNode::Or(cs) => cs,
+        _ => &[],
     }
-
-    // Union children that share at least one variable. We link via a map
-    // from variable to the first child using it, so the cost is
-    // O(total vars · α(n)) instead of O(n²) pairwise comparisons.
-    let mut owner: HashMap<VarId, usize> = HashMap::new();
-    for (i, vs) in var_sets.iter().enumerate() {
-        for v in vs {
-            match owner.get(v) {
-                Some(&j) => {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[ri] = rj;
-                    }
-                }
-                None => {
-                    owner.insert(*v, i);
-                }
-            }
-        }
-    }
-
-    let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-    for i in 0..n {
-        let root = find(&mut parent, i);
-        groups.entry(root).or_default().push(i);
-    }
-    let mut out: Vec<Vec<usize>> = groups.into_values().collect();
-    out.sort_by_key(|g| g[0]);
-    out
-}
-
-/// The variable occurring in the largest number of sub-formulas (a standard
-/// branching heuristic for Shannon expansion). Occurrences are counted with
-/// multiplicity — each appearance in the formula counts, exactly as the
-/// legacy tree walk did.
-fn most_frequent_var(interner: &LineageInterner, r: LineageRef) -> Option<VarId> {
-    let mut counts: HashMap<VarId, usize> = HashMap::new();
-    fn walk(interner: &LineageInterner, r: LineageRef, counts: &mut HashMap<VarId, usize>) {
-        match interner.node(r) {
-            InternedNode::Var(v) => *counts.entry(*v).or_insert(0) += 1,
-            InternedNode::Not(c) => walk(interner, *c, counts),
-            InternedNode::And(cs) | InternedNode::Or(cs) => {
-                for &c in cs.iter() {
-                    walk(interner, c, counts);
-                }
-            }
-            _ => {}
-        }
-    }
-    walk(interner, r, &mut counts);
-    counts
-        .into_iter()
-        .max_by_key(|&(v, c)| (c, std::cmp::Reverse(v)))
-        .map(|(v, _)| v)
 }
 
 #[cfg(test)]
@@ -747,6 +845,37 @@ mod tests {
     }
 
     #[test]
+    fn children_sharing_a_sub_node_are_one_component() {
+        // ¬(x0 ∨ x1) is one arena node under both disjuncts.
+        let shared = Lineage::not(Lineage::or2(v(0), v(1)));
+        let f = Lineage::or2(
+            Lineage::and2(shared.clone(), v(2)),
+            Lineage::and2(shared, v(3)),
+        );
+        let mut e = engine(&[0.3, 0.6, 0.2, 0.8]);
+        let p = e.probability(&f);
+        let exact = e.probability_by_enumeration(&f).unwrap();
+        assert!((p - exact).abs() < 1e-12);
+        assert!(
+            e.expansions() > 0,
+            "a shared sub-node correlates the disjuncts"
+        );
+    }
+
+    #[test]
+    fn engines_over_shared_marginals_copy_on_write() {
+        let marginals: Arc<Marginals> =
+            Arc::new([(VarId(0), 0.5), (VarId(1), 0.4)].into_iter().collect());
+        let mut a = ProbabilityEngine::with_marginals(Arc::clone(&marginals));
+        let b = ProbabilityEngine::with_marginals(Arc::clone(&marginals));
+        assert!((a.probability(&Lineage::and2(v(0), v(1))) - 0.2).abs() < 1e-12);
+        a.set(VarId(0), 1.0);
+        assert_eq!(b.get(VarId(0)), Some(0.5));
+        assert_eq!(marginals.get(&VarId(0)), Some(&0.5));
+        assert_eq!(a.get(VarId(0)), Some(1.0));
+    }
+
+    #[test]
     fn cloned_engines_share_probabilities_until_write() {
         let mut base = engine(&[0.5, 0.4]);
         let mut fork = base.clone();
@@ -767,7 +896,55 @@ mod tests {
         })
     }
 
+    /// A DAG-shaped formula over the variables `0..6`: a pool starts with
+    /// the variables, and every step appends the negation, conjunction or
+    /// disjunction of earlier pool entries. Later entries reuse whole
+    /// sub-formulas, so once interned, `And`/`Or` children share sub-nodes
+    /// and not only variables. The formula combines the last three entries.
+    fn arb_dag() -> impl Strategy<Value = Lineage> {
+        let step = (0u8..3, proptest::collection::vec(0usize..64, 2..4));
+        (proptest::collection::vec(step, 1..8), any::<bool>()).prop_map(|(steps, top_and)| {
+            let mut pool: Vec<Lineage> = (0..6).map(v).collect();
+            for (kind, picks) in steps {
+                let picked: Vec<Lineage> = picks
+                    .iter()
+                    .map(|&k| pool[k % pool.len()].clone())
+                    .collect();
+                pool.push(match kind {
+                    0 => Lineage::not(picked[0].clone()),
+                    1 => Lineage::and(picked),
+                    _ => Lineage::or(picked),
+                });
+            }
+            let top = pool[pool.len() - 3..].to_vec();
+            if top_and {
+                Lineage::and(top)
+            } else {
+                Lineage::or(top)
+            }
+        })
+    }
+
+    /// Marginals with the degenerate probabilities 0 and 1 drawn as often
+    /// as an interior value.
+    fn arb_marginals() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(prop_oneof![Just(0.0), Just(1.0), 0.0f64..=1.0], 6)
+    }
+
     proptest! {
+        #[test]
+        fn prop_dag_probability_matches_enumeration(f in arb_dag(), ps in arb_marginals()) {
+            let mut e = engine(&ps);
+            let exact = e.probability_by_enumeration(&f).unwrap();
+            let computed = e.probability(&f);
+            prop_assert!((exact - computed).abs() < 1e-9, "exact {exact} vs computed {computed} for {f:?}");
+            // Shannon alone (no component grouping) agrees as well.
+            let mut slow = engine(&ps);
+            slow.set_force_shannon(true);
+            let shannon = slow.probability(&f);
+            prop_assert!((exact - shannon).abs() < 1e-9, "exact {exact} vs Shannon {shannon} for {f:?}");
+        }
+
         #[test]
         fn prop_probability_matches_enumeration(f in arb_lineage(), ps in proptest::collection::vec(0.0f64..=1.0, 5)) {
             let mut e = ProbabilityEngine::new();

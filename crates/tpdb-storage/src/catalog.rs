@@ -7,38 +7,9 @@ use crate::schema::Schema;
 use crate::tuple::TpTuple;
 use crate::value::Value;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use tpdb_lineage::{Lineage, ProbabilityEngine, SymbolTable, VarId};
+use tpdb_lineage::{Lineage, Marginals, ProbabilityEngine, SymbolTable, VarId};
 use tpdb_temporal::Interval;
-
-/// A multiply-and-fold hasher for dense `u32` lineage-variable ids. The
-/// marginal map takes one insert per base tuple on the snapshot-load and
-/// bulk-import paths, where SipHash shows up in profiles; Fibonacci
-/// multiplication is plenty for keys the catalog itself hands out.
-#[derive(Debug, Default)]
-pub(crate) struct VarIdHasher(u64);
-
-impl std::hash::Hasher for VarIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            self.0 ^= self.0 >> 32;
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 32;
-    }
-}
-
-/// The catalog's marginal-probability map (one entry per base tuple).
-pub(crate) type MarginalMap = HashMap<VarId, f64, BuildHasherDefault<VarIdHasher>>;
 
 /// The catalog of a TP database.
 ///
@@ -62,7 +33,11 @@ pub(crate) type MarginalMap = HashMap<VarId, f64, BuildHasherDefault<VarIdHasher
 pub struct Catalog {
     relations: RwLock<HashMap<String, Arc<TpRelation>>>,
     symbols: SymbolTable,
-    probabilities: MarginalMap,
+    /// One marginal probability per base tuple, in the probability
+    /// engine's own map type: shared with every engine
+    /// [`probability_engine`](Self::probability_engine) hands out, and
+    /// copied by a mutation only while an engine holds it.
+    probabilities: Arc<Marginals>,
     /// Monotonic counter of relation-set mutations (the plan-cache key).
     epoch: u64,
 }
@@ -146,9 +121,10 @@ impl Catalog {
         if self.read_relations()?.contains_key(&name) {
             return Err(StorageError::RelationExists(name));
         }
+        let probabilities = Arc::make_mut(&mut self.probabilities);
         for t in relation.iter() {
             if let tpdb_lineage::LineageNode::Var(v) = t.lineage().node() {
-                self.probabilities.insert(*v, t.probability());
+                probabilities.insert(*v, t.probability());
             }
         }
         self.write_relations()?.insert(name, Arc::new(relation));
@@ -221,16 +197,15 @@ impl Catalog {
     }
 
     /// Builds a [`ProbabilityEngine`] preloaded with every base-tuple
-    /// probability known to the catalog.
+    /// probability known to the catalog. The engine shares the catalog's
+    /// marginal map (one `Arc` clone), so this is `O(1)` per statement.
     #[must_use]
     pub fn probability_engine(&self) -> ProbabilityEngine {
-        let mut engine = ProbabilityEngine::new();
-        engine.set_all(self.probabilities.iter().map(|(&v, &p)| (v, p)));
-        engine
+        ProbabilityEngine::with_marginals(Arc::clone(&self.probabilities))
     }
 
     /// The full marginal-probability map (snapshot serialization support).
-    pub(crate) fn marginals(&self) -> &MarginalMap {
+    pub(crate) fn marginals(&self) -> &Marginals {
         &self.probabilities
     }
 
@@ -242,7 +217,7 @@ impl Catalog {
     pub(crate) fn replace_contents(
         &mut self,
         symbols: SymbolTable,
-        probabilities: MarginalMap,
+        probabilities: Marginals,
         relations: Vec<TpRelation>,
     ) -> Result<(), StorageError> {
         let map: RelationMap = relations
@@ -251,7 +226,7 @@ impl Catalog {
             .collect();
         *self.write_relations()? = map;
         self.symbols = symbols;
-        self.probabilities = probabilities;
+        self.probabilities = Arc::new(probabilities);
         self.epoch += 1;
         Ok(())
     }
@@ -281,7 +256,7 @@ impl RelationBuilder<'_> {
         if let Err(e) = self.relation.push(tuple) {
             self.error = Some(e);
         } else {
-            self.catalog.probabilities.insert(var, probability);
+            Arc::make_mut(&mut self.catalog.probabilities).insert(var, probability);
         }
         self
     }

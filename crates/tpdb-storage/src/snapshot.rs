@@ -52,7 +52,7 @@
 //! [`SnapshotInvalidProbability`](StorageError::SnapshotInvalidProbability)
 //! and [`SnapshotIo`](StorageError::SnapshotIo).
 
-use crate::catalog::{Catalog, MarginalMap};
+use crate::catalog::Catalog;
 use crate::error::StorageError;
 use crate::relation::TpRelation;
 use crate::schema::{DataType, Field, Schema};
@@ -61,7 +61,7 @@ use crate::value::Value;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
-use tpdb_lineage::{Lineage, LineageNode, SymbolTable, VarId};
+use tpdb_lineage::{Lineage, LineageNode, Marginals, SymbolTable, VarId};
 use tpdb_temporal::Interval;
 
 /// The magic bytes every snapshot file starts with.
@@ -577,7 +577,7 @@ fn encode_symbols(symbols: &SymbolTable, var_bound: u32) -> Result<Vec<u8>, Stor
     Ok(out)
 }
 
-fn encode_marginals(marginals: &MarginalMap) -> Result<Vec<u8>, StorageError> {
+fn encode_marginals(marginals: &Marginals) -> Result<Vec<u8>, StorageError> {
     let mut pairs: Vec<(u32, f64)> = marginals.iter().map(|(v, &p)| (v.index(), p)).collect();
     pairs.sort_by_key(|&(v, _)| v);
     let mut out = Vec::new();
@@ -664,11 +664,11 @@ fn decode_symbols(payload: &[u8]) -> Result<(SymbolTable, u32), StorageError> {
     Ok((symbols, var_bound))
 }
 
-fn decode_marginals(payload: &[u8], var_bound: u32) -> Result<MarginalMap, StorageError> {
+fn decode_marginals(payload: &[u8], var_bound: u32) -> Result<Marginals, StorageError> {
     let mut r = Reader::new(payload, SECTION_MARGINALS);
     let raw = r.u32("marginal count")?;
     let count = r.checked_count(u64::from(raw), 12, "marginal count")?;
-    let mut marginals = MarginalMap::with_capacity_and_hasher(count, Default::default());
+    let mut marginals = Marginals::with_capacity_and_hasher(count, Default::default());
     let mut previous: Option<u32> = None;
     for _ in 0..count {
         let var = r.u32("marginal var id")?;
@@ -786,7 +786,7 @@ fn append_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
 
 struct DecodedSnapshot {
     symbols: SymbolTable,
-    marginals: MarginalMap,
+    marginals: Marginals,
     relations: Vec<TpRelation>,
 }
 
